@@ -9,17 +9,16 @@
  * both and reports ns/op as the range size grows.
  *
  * A second axis ablates the interval map's own backing store: the
- * flat sorted-vector layout (core::IntervalMap) against the original
- * one-heap-node-per-entry std::map layout (bench::NodeIntervalMap) on
- * an interval-heavy stream of assigns, erases, coverage queries and
- * overlap scans.
+ * chunked layout (core::IntervalMap) against the single flat sorted
+ * vector it replaced (bench::FlatIntervalMap) on an interval-heavy
+ * stream of assigns, erases, coverage queries and overlap scans.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
 
-#include "bench/node_interval_map.hh"
+#include "bench/flat_interval_map.hh"
 #include "core/interval_map.hh"
 #include "core/shadow_memory.hh"
 #include "util/random.hh"
@@ -179,9 +178,9 @@ runIntervalStream(MapT &map, const IntervalStream &stream)
     return acc;
 }
 
-/** Flat sorted-vector interval map (current shadow-memory backing). */
+/** Chunked interval map (current shadow-memory backing). */
 void
-BM_FlatIntervalMap(benchmark::State &state)
+BM_ChunkedIntervalMap(benchmark::State &state)
 {
     const IntervalStream stream(
         8192, static_cast<uint64_t>(state.range(0)), 42);
@@ -191,13 +190,13 @@ BM_FlatIntervalMap(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * stream.ops.size());
 }
 
-/** Node-per-entry std::map baseline (pre-rewrite backing). */
+/** Single flat sorted-vector baseline (pre-chunking backing). */
 void
-BM_NodeIntervalMap(benchmark::State &state)
+BM_FlatIntervalMap(benchmark::State &state)
 {
     const IntervalStream stream(
         8192, static_cast<uint64_t>(state.range(0)), 42);
-    pmtest::bench::NodeIntervalMap<uint64_t> map;
+    pmtest::bench::FlatIntervalMap<uint64_t> map;
     for (auto _ : state)
         benchmark::DoNotOptimize(runIntervalStream(map, stream));
     state.SetItemsProcessed(state.iterations() * stream.ops.size());
@@ -210,9 +209,9 @@ BENCHMARK(BM_ByteShadow)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 // Working-set sizes in bytes: small sets stress carve/split density,
 // large sets stress the search.
-BENCHMARK(BM_FlatIntervalMap)
+BENCHMARK(BM_ChunkedIntervalMap)
     ->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
-BENCHMARK(BM_NodeIntervalMap)
+BENCHMARK(BM_FlatIntervalMap)
     ->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 BENCHMARK_MAIN();

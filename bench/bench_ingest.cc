@@ -24,8 +24,12 @@
  *  7. v1 + stream loader + serial engine     (the baseline)
  *
  * Every phase produces a canonicalized Report; verdict_match asserts
- * every configuration's merged report is byte-identical to the
- * serial one — the determinism contract of the TraceSource pipeline.
+ * every configuration's merged report is byte-identical to its serial
+ * reference — the determinism contract of the TraceSource pipeline.
+ * Single-file phases must reproduce the v1 serial report. The
+ * multi-file phase stamps each finding with its part's file id, so
+ * its reference is the parts checked serially one by one under the
+ * same file ids and merged.
  *
  * Flags:
  *  --smoke        tiny workload; CI uses this to validate the harness
@@ -103,6 +107,7 @@ struct Phase
     size_t rssGrowthKb = 0;
     std::string verdict; ///< canonicalized Report::str()
     size_t failCount = 0;
+    bool multiFile = false; ///< findings carry per-part file ids
 };
 
 /** Drain @p source through ingest() into a pool; canonical verdict. */
@@ -205,8 +210,10 @@ runMultiFile(const std::vector<std::string> &paths, size_t decoders,
     }
     auto source =
         std::make_unique<MultiTraceSource>(std::move(children));
-    return runSource(std::move(name), std::move(source), decoders,
-                     workers, timer, rss_before);
+    Phase phase = runSource(std::move(name), std::move(source),
+                            decoders, workers, timer, rss_before);
+    phase.multiFile = true;
+    return phase;
 }
 
 /** v1 file → sequential stream loader → one inline engine. */
@@ -235,6 +242,34 @@ runSerialBaseline(const std::string &path)
     phase.verdict = merged.str();
     phase.failCount = merged.failCount();
     return phase;
+}
+
+/**
+ * The reference verdict for a multi-file phase: each part loaded and
+ * checked serially, its findings stamped with the part's file id
+ * (its position in @p paths), all merged and canonicalized.
+ */
+std::string
+serialPartsVerdict(const std::vector<std::string> &paths)
+{
+    Engine engine(ModelKind::X86);
+    Report merged;
+    // Keep every bundle alive until the report is rendered.
+    std::vector<LoadedTraces> bundles;
+    for (size_t i = 0; i < paths.size(); i++) {
+        bool ok = false;
+        bundles.push_back(loadTracesFromFile(paths[i], &ok));
+        if (!ok) {
+            std::fprintf(stderr, "cannot load %s\n", paths[i].c_str());
+            std::exit(1);
+        }
+        for (Trace &trace : bundles.back().traces) {
+            trace.setFileId(static_cast<uint32_t>(i));
+            merged.merge(engine.check(trace));
+        }
+    }
+    merged.canonicalize();
+    return merged.str();
 }
 
 /** A file shape: trace population + its measured phases. */
@@ -324,12 +359,15 @@ runShape(const std::string &name, size_t count, size_t rounds,
     shape.phases.push_back(runMultiFile(part_paths, 4, workers));
     shape.phases.push_back(runSerialBaseline(v1_path));
 
+    const Phase &serial = shape.phases.back();
+    const std::string parts_verdict = serialPartsVerdict(part_paths);
     shape.verdictMatch = true;
     for (const auto &phase : shape.phases) {
-        shape.verdictMatch =
-            shape.verdictMatch &&
-            phase.verdict == shape.phases.back().verdict &&
-            phase.failCount == shape.phases.back().failCount;
+        const std::string &expected =
+            phase.multiFile ? parts_verdict : serial.verdict;
+        shape.verdictMatch = shape.verdictMatch &&
+                             phase.verdict == expected &&
+                             phase.failCount == serial.failCount;
     }
 
     std::remove(v2_path.c_str());

@@ -7,15 +7,13 @@
  *  - storage: chunked IntervalMap vs the flat sorted-vector layout it
  *    replaced, on hot (4 KiB / 64 KiB), sparse never-retouched
  *    (1 MiB / 8 MiB) and mixed hot+sparse shapes — the sparse shapes
- *    are the flat layout's O(n)-memmove cliff — plus one chunked vs
- *    node-std::map section for continuity with the older trend line.
+ *    are the flat layout's O(n)-memmove cliff.
  *  - batch: assignBatch (sort once, walk chunks once) vs a per-op
  *    assign loop over identical sorted disjoint ranges.
  *  - state: one reused engine (capacity-retaining reset) vs a fresh
  *    engine per trace.
- *  - dispatch: model-templated kernel vs per-op virtual dispatch,
- *    and the batched write-run kernel vs the same templated kernel
- *    with batching off (Dispatch::TemplatedPerOp).
+ *  - batched writes: the engine's batched write runs vs the same
+ *    engine with batching off (Engine::Batching::Off).
  *
  * Flags:
  *  --smoke        tiny workload (seconds -> milliseconds); CI uses
@@ -36,7 +34,6 @@
 
 #include "bench/bench_util.hh"
 #include "bench/flat_interval_map.hh"
-#include "bench/node_interval_map.hh"
 #include "core/engine.hh"
 #include "core/interval_map.hh"
 #include "obs/metrics_service.hh"
@@ -66,7 +63,7 @@ struct Section
 
 using pmtest::bestOfSeconds;
 
-// --- storage: chunked vs flat (and node) interval map --------------
+// --- storage: chunked vs flat interval map -------------------------
 
 struct IntervalOp
 {
@@ -187,13 +184,13 @@ measureStorage(const std::vector<IntervalOp> &ops, int passes,
     IntervalMap<uint64_t> chunked;
     const double chunked_sec = bestOfSeconds(3, [&] {
         for (int p = 0; p < passes; p++)
-            sink += runIntervalStream(chunked, ops);
+            sink = sink + runIntervalStream(chunked, ops);
     });
 
     BaselineT baseline;
     const double baseline_sec = bestOfSeconds(3, [&] {
         for (int p = 0; p < passes; p++)
-            sink += runIntervalStream(baseline, ops);
+            sink = sink + runIntervalStream(baseline, ops);
     });
 
     const double total = static_cast<double>(ops.size()) * passes;
@@ -234,7 +231,7 @@ measureBatchAssign(size_t batches_n, size_t per_batch, int passes)
             batched.clear();
             for (const auto &b : batches)
                 batched.assignBatch(b.data(), b.size(), 7);
-            sink += batched.size();
+            sink = sink + batched.size();
         }
     });
 
@@ -245,7 +242,7 @@ measureBatchAssign(size_t batches_n, size_t per_batch, int passes)
             for (const auto &b : batches)
                 for (const AddrRange &r : b)
                     per_op.assign(r, 7);
-            sink += per_op.size();
+            sink = sink + per_op.size();
         }
     });
 
@@ -294,13 +291,13 @@ measureStateReuse(size_t traces_n, size_t rounds)
     Engine reused(ModelKind::X86);
     const double reused_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
-            sink += reused.check(t).failCount();
+            sink = sink + reused.check(t).failCount();
     });
 
     const double fresh_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces) {
             Engine fresh(ModelKind::X86);
-            sink += fresh.check(t).failCount();
+            sink = sink + fresh.check(t).failCount();
         }
     });
 
@@ -313,38 +310,7 @@ measureStateReuse(size_t traces_n, size_t rounds)
     return s;
 }
 
-// --- dispatch: templated vs virtual --------------------------------
-
-Section
-measureDispatch(size_t rounds, int passes)
-{
-    const auto traces = makeTraces(1, rounds, 11);
-    const Trace &trace = traces.front();
-    volatile uint64_t sink = 0;
-
-    Engine templated(ModelKind::X86, Engine::Dispatch::Templated);
-    const double fast_sec = bestOfSeconds(3, [&] {
-        for (int p = 0; p < passes; p++)
-            sink += templated.check(trace).failCount();
-    });
-
-    Engine virtualised(ModelKind::X86, Engine::Dispatch::Virtual);
-    const double slow_sec = bestOfSeconds(3, [&] {
-        for (int p = 0; p < passes; p++)
-            sink += virtualised.check(trace).failCount();
-    });
-
-    const double total = static_cast<double>(trace.size()) * passes;
-    Section s;
-    s.name = "model_dispatch";
-    s.baseline = "virtual";
-    s.candidate = "templated";
-    s.baselineMops = total / slow_sec * 1e-6;
-    s.candidateMops = total / fast_sec * 1e-6;
-    return s;
-}
-
-// --- dispatch: batched write runs vs per-op templated --------------
+// --- batched write runs vs per-op ---------------------------------
 
 /**
  * Table-1-shaped traces: each round writes 8 distinct lines back to
@@ -381,22 +347,22 @@ measureEngineBatch(size_t traces_n, size_t rounds)
         total_ops += t.size();
     volatile uint64_t sink = 0;
 
-    Engine batched(ModelKind::X86, Engine::Dispatch::Templated);
+    Engine batched(ModelKind::X86);
     const double batched_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
-            sink += batched.check(t).failCount();
+            sink = sink + batched.check(t).failCount();
     });
 
-    Engine per_op(ModelKind::X86, Engine::Dispatch::TemplatedPerOp);
+    Engine per_op(ModelKind::X86, Engine::Batching::Off);
     const double perop_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
-            sink += per_op.check(t).failCount();
+            sink = sink + per_op.check(t).failCount();
     });
 
     Section s;
     s.name = "engine_batched_writes";
-    s.baseline = "templated_per_op";
-    s.candidate = "templated_batched";
+    s.baseline = "per_op";
+    s.candidate = "batched";
     s.baselineMops =
         static_cast<double>(total_ops) / perop_sec * 1e-6;
     s.candidateMops =
@@ -487,10 +453,9 @@ main(int argc, char **argv)
 
     pmtest::bench::banner("Kernel ablation",
                           "chunked storage, batched splices, state "
-                          "reuse, devirtualised dispatch");
+                          "reuse, batched write runs");
 
     using Flat = pmtest::bench::FlatIntervalMap<uint64_t>;
-    using Node = pmtest::bench::NodeIntervalMap<uint64_t>;
     const size_t s = pmtest::bench::scale();
     const int sp = static_cast<int>(s); // int passes
     std::vector<Section> sections;
@@ -512,12 +477,8 @@ main(int argc, char **argv)
             "flat_vector"));
         sections.push_back(measureStorage<Flat>(
             makeMixedStream(2048, 23), 8, "mixed", "flat_vector"));
-        sections.push_back(measureStorage<Node>(
-            makeIntervalStream(2048, 4 << 10, 42), 8, "node_hot4k",
-            "node_std_map"));
         sections.push_back(measureBatchAssign(128, 16, 6));
         sections.push_back(measureStateReuse(64, 32));
-        sections.push_back(measureDispatch(512, 8));
         sections.push_back(measureEngineBatch(32, 32));
     } else {
         sections.push_back(measureStorage<Flat>(
@@ -535,12 +496,8 @@ main(int argc, char **argv)
         sections.push_back(measureStorage<Flat>(
             makeMixedStream(8192, 23), 10 * sp, "mixed",
             "flat_vector"));
-        sections.push_back(measureStorage<Node>(
-            makeIntervalStream(8192, 4 << 10, 42), 50 * sp,
-            "node_hot4k", "node_std_map"));
         sections.push_back(measureBatchAssign(512, 16, 10 * sp));
         sections.push_back(measureStateReuse(512 * s, 64));
-        sections.push_back(measureDispatch(4096, 100 * sp));
         sections.push_back(measureEngineBatch(256 * s, 64));
     }
 

@@ -3,15 +3,14 @@
  * The single flat sorted-vector interval map this repository shipped
  * before the chunked rewrite, preserved verbatim as the "before" side
  * of the storage-layout ablation. Benchmarks pit it against
- * core::IntervalMap (chunked) and NodeIntervalMap (std::map) on the
- * same op streams; nothing outside bench/ and tests/ may include this
- * header.
+ * core::IntervalMap (chunked) on the same op streams; nothing outside
+ * bench/ and tests/ may include this header.
  *
  * Strengths and the known cliff: lookups binary-search one contiguous
  * array (great cache behavior while the map is small), but every
  * mutation splices with memmove over the whole suffix — O(n) per op,
- * which is what loses to node storage once a sparse workload grows
- * the map to thousands of entries (the 1 MiB sparse shape in
+ * which is what loses to chunked storage once a sparse workload grows
+ * the map to thousands of entries (the sparse shapes in
  * bench_kernel).
  */
 

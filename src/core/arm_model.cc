@@ -4,6 +4,41 @@ namespace pmtest::core
 {
 
 void
+ArmModel::apply(const PmOp &op, ShadowMemory &shadow, Report &report,
+                size_t op_index)
+{
+    switch (op.type) {
+      case OpType::DcCvap: {
+        // Clean-to-persistence: same interval semantics as clwb,
+        // including the performance-bug WARN rules.
+        const AddrRange range(op.addr, op.size);
+        reportCvapWarns(shadow.scanClwb(range), op, report, op_index);
+        shadow.recordClwb(range);
+        break;
+      }
+
+      case OpType::Dsb:
+        shadow.bumpTimestamp();
+        shadow.completePendingFlushes();
+        break;
+
+      case OpType::Clwb:
+      case OpType::ClflushOpt:
+      case OpType::Clflush:
+      case OpType::Sfence:
+      case OpType::Ofence:
+      case OpType::Dfence:
+        reportMalformed(op, report, op_index, name());
+        break;
+
+      default:
+        // Writes, transactional events and checkers are handled by
+        // the engine.
+        break;
+    }
+}
+
+void
 ArmModel::reportCvapWarns(const ClwbScan &scan, const PmOp &op,
                           Report &report, size_t op_index)
 {

@@ -17,57 +17,14 @@
 namespace pmtest::core
 {
 
-/**
- * Checking rules for the ARMv8.2 persistency model.
- *
- * apply() is defined inline and the class is final so the engine's
- * model-templated kernel devirtualizes and inlines the per-op switch;
- * the DC CVAP WARN reporting (cold path) stays out of line.
- */
+/** Checking rules for the ARMv8.2 persistency model. */
 class ArmModel final : public PersistencyModel
 {
   public:
     const char *name() const override { return "arm"; }
 
-    void
-    apply(const PmOp &op, ShadowMemory &shadow, Report &report,
-          size_t op_index) override
-    {
-        switch (op.type) {
-          case OpType::Write:
-            shadow.recordWrite(AddrRange(op.addr, op.size));
-            break;
-
-          case OpType::DcCvap: {
-            // Clean-to-persistence: same interval semantics as clwb,
-            // including the performance-bug WARN rules.
-            const AddrRange range(op.addr, op.size);
-            reportCvapWarns(shadow.scanClwb(range), op, report,
-                            op_index);
-            shadow.recordClwb(range);
-            break;
-          }
-
-          case OpType::Dsb:
-            shadow.bumpTimestamp();
-            shadow.completePendingFlushes();
-            break;
-
-          case OpType::Clwb:
-          case OpType::ClflushOpt:
-          case OpType::Clflush:
-          case OpType::Sfence:
-          case OpType::Ofence:
-          case OpType::Dfence:
-            reportMalformed(op, report, op_index, name());
-            break;
-
-          default:
-            // Transactional events and checkers are handled by the
-            // engine.
-            break;
-        }
-    }
+    void apply(const PmOp &op, ShadowMemory &shadow, Report &report,
+               size_t op_index) override;
 
     bool checkOrderedBefore(const AddrRange &a, const AddrRange &b,
                             const ShadowMemory &shadow,

@@ -1,11 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <type_traits>
 
-#include "core/arm_model.hh"
-#include "core/hops_model.hh"
-#include "core/x86_model.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -18,13 +14,13 @@ Engine::TraceState::reset()
     shadow.reset();
     exclusions.clear();
     txDepth = 0;
-    logTree.clear();
+    logged.clear();
     txCheckActive = false;
     txWrites.clear();
 }
 
-Engine::Engine(ModelKind kind, Dispatch dispatch)
-    : kind_(kind), dispatch_(dispatch), model_(makeModel(kind))
+Engine::Engine(ModelKind kind, Batching batching)
+    : batching_(batching), model_(makeModel(kind))
 {
     if (!model_)
         fatal("Engine: unknown persistency model");
@@ -42,26 +38,7 @@ Engine::check(const Trace &trace)
     Report report(trace.id(), trace.fileId());
     state_.reset();
 
-    // Select the model rules once per trace. The templated kernels
-    // call through a concretely-typed reference to a final class, so
-    // the per-op apply() devirtualizes and inlines; the Virtual mode
-    // instantiates the same kernel against the base class, retaining
-    // the classic one-virtual-call-per-op path for the ablation.
-    if (dispatch_ == Dispatch::Virtual) {
-        runTrace(*model_, trace, report);
-    } else {
-        switch (kind_) {
-          case ModelKind::X86:
-            runTrace(static_cast<X86Model &>(*model_), trace, report);
-            break;
-          case ModelKind::Hops:
-            runTrace(static_cast<HopsModel &>(*model_), trace, report);
-            break;
-          case ModelKind::Arm:
-            runTrace(static_cast<ArmModel &>(*model_), trace, report);
-            break;
-        }
-    }
+    runTrace(*model_, trace, report);
 
     if (state_.txDepth > 0) {
         Finding f;
@@ -86,35 +63,20 @@ Engine::check(const Trace &trace)
     return report;
 }
 
-template <typename M>
 void
-Engine::runTrace(M &model, const Trace &trace, Report &report)
+Engine::runTrace(PersistencyModel &model, const Trace &trace,
+                 Report &report)
 {
     const auto &ops = trace.ops();
-
-    // Batched write runs are valid precisely because every concrete
-    // model applies OpType::Write as shadow.recordWrite(range) and
-    // nothing else; the polymorphic baseline keeps the pure per-op
-    // loop so Dispatch::Virtual remains the oracle the batched path
-    // is verified against (tests/core/kernel_equivalence_test.cc).
-    if (dispatch_ == Dispatch::Templated &&
-        !std::is_same_v<M, PersistencyModel>) {
-        size_t i = 0;
-        while (i < ops.size()) {
-            if (ops[i].type == OpType::Write) {
-                i = runWriteRun(trace, i, state_, report);
-                continue;
-            }
-            handleOp(model, ops[i], i, state_, report);
-            opsProcessed_++;
-            i++;
+    size_t i = 0;
+    while (i < ops.size()) {
+        if (batching_ == Batching::On && ops[i].type == OpType::Write) {
+            i = runWriteRun(trace, i, state_, report);
+            continue;
         }
-        return;
-    }
-
-    for (size_t i = 0; i < ops.size(); i++) {
         handleOp(model, ops[i], i, state_, report);
         opsProcessed_++;
+        i++;
     }
 }
 
@@ -192,7 +154,7 @@ Engine::preWriteChecks(const PmOp &op, const AddrRange &range,
 {
     // Transaction-aware rule (§5.1.1): inside a transaction, a
     // modified persistent object must have been backed up first.
-    if (state.txDepth > 0 && !state.logTree.covers(range)) {
+    if (state.txDepth > 0 && !state.logged.covers(range)) {
         Finding f;
         f.severity = Severity::Fail;
         f.kind = FindingKind::MissingLog;
@@ -217,9 +179,8 @@ Engine::excluded(const TraceState &state, const AddrRange &range)
     return state.exclusions.covers(range);
 }
 
-template <typename M>
 void
-Engine::handleOp(M &model, const PmOp &op, size_t index,
+Engine::handleOp(PersistencyModel &model, const PmOp &op, size_t index,
                  TraceState &state, Report &report)
 {
     switch (op.type) {
@@ -257,9 +218,13 @@ Engine::handleOp(M &model, const PmOp &op, size_t index,
     if (ranged && excluded(state, range))
         return;
 
-    if (op.type == OpType::Write)
+    if (op.type == OpType::Write) {
+        // Every model opens a persist interval on a write and does
+        // nothing else, so writes are the engine's, not the model's.
         preWriteChecks(op, range, index, state, report);
-
+        state.shadow.recordWrite(range);
+        return;
+    }
     model.apply(op, state.shadow, report, index);
 }
 
@@ -286,7 +251,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
         state.txDepth--;
         if (state.txDepth == 0) {
             // Outermost commit: undo log entries are retired.
-            state.logTree.clear();
+            state.logged.clear();
         }
         return;
 
@@ -305,7 +270,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             report.add(std::move(f));
             return;
         }
-        if (state.logTree.covers(range)) {
+        if (state.logged.covers(range)) {
             // §5.1.2: logging the same object twice is a performance
             // bug — the second snapshot is pure overhead.
             Finding f;
@@ -322,7 +287,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             f.hint.opIndex = index;
             report.add(std::move(f));
         }
-        state.logTree.insert(range, op.loc);
+        state.logged.assign(range, true);
         return;
       }
 
@@ -331,10 +296,9 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
     }
 }
 
-template <typename M>
 void
-Engine::handleChecker(const M &model, const PmOp &op, size_t index,
-                      TraceState &state, Report &report)
+Engine::handleChecker(const PersistencyModel &model, const PmOp &op,
+                      size_t index, TraceState &state, Report &report)
 {
     switch (op.type) {
       case OpType::CheckIsPersist: {
@@ -433,18 +397,5 @@ Engine::handleChecker(const M &model, const PmOp &op, size_t index,
         panic("handleChecker: unexpected op");
     }
 }
-
-// Instantiate the kernel for the built-in models and for the
-// polymorphic baseline (Dispatch::Virtual). check() selects among
-// these once per trace.
-template void Engine::runTrace<X86Model>(X86Model &, const Trace &,
-                                         Report &);
-template void Engine::runTrace<HopsModel>(HopsModel &, const Trace &,
-                                          Report &);
-template void Engine::runTrace<ArmModel>(ArmModel &, const Trace &,
-                                         Report &);
-template void Engine::runTrace<PersistencyModel>(PersistencyModel &,
-                                                 const Trace &,
-                                                 Report &);
 
 } // namespace pmtest::core

@@ -4,21 +4,21 @@
  * updating shadow-memory persistency status for PM operations and
  * validating checker entries against it. On top of the low-level
  * rules it implements the transaction-aware high-level checkers
- * (§5.1): missing-backup detection via a log tree, incomplete-
- * transaction detection via auto-injected isPersist, and the
- * duplicate-log performance checker.
+ * (§5.1): missing-backup detection against the set of TX_ADD'ed
+ * ranges, incomplete-transaction detection via auto-injected
+ * isPersist, and the duplicate-log performance checker.
  *
  * Hot-path organization:
  *  - The per-trace checking state (shadow memory, exclusion map, log
- *    tree, TX-checker write list) lives in the engine and is reset —
+ *    set, TX-checker write list) lives in the engine and is reset —
  *    clearing contents but retaining capacity — rather than rebuilt,
  *    so steady-state checking allocates nothing per trace.
- *  - The per-op loop is a kernel templated on the concrete
- *    persistency model (the model classes are final and define
- *    apply() inline), so model dispatch is selected once per trace by
- *    ModelKind and the per-op switch inlines instead of paying a
- *    virtual call per operation. Dispatch::Virtual retains the
- *    classic one-virtual-call-per-op path as an ablation baseline.
+ *  - Writes never reach the persistency model: every model records a
+ *    write the same way, so the engine applies it to the shadow
+ *    memory itself. That uniformity is what lets the kernel batch
+ *    runs of consecutive writes into one sorted shadow splice.
+ *  - Flushes, fences and checkers go to the model through one
+ *    virtual call per op.
  */
 
 #ifndef PMTEST_CORE_ENGINE_HH
@@ -28,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/interval_tree.hh"
 #include "core/persistency_model.hh"
 #include "core/report.hh"
 #include "core/shadow_memory.hh"
@@ -47,19 +46,19 @@ namespace pmtest::core
 class Engine
 {
   public:
-    /** How the per-op model rules are invoked. */
-    enum class Dispatch
+    /**
+     * Whether runs of consecutive writes are applied as one sorted
+     * shadow splice (the default) or one write at a time. Both give
+     * byte-identical reports; Off is the per-op reference the batched
+     * path is tested against (tests/core/kernel_equivalence_test.cc).
+     */
+    enum class Batching
     {
-        Templated,      ///< model-specialized kernel with batched
-                        ///< write runs (default; inlined)
-        TemplatedPerOp, ///< model-specialized kernel, batching off
-                        ///< (ablation baseline for the batch win)
-        Virtual,        ///< one virtual call per op (the classic
-                        ///< per-op oracle; ablation baseline)
+        On,
+        Off,
     };
 
-    explicit Engine(ModelKind kind,
-                    Dispatch dispatch = Dispatch::Templated);
+    explicit Engine(ModelKind kind, Batching batching = Batching::On);
 
     /** Check one trace and produce its report. */
     Report check(const Trace &trace);
@@ -73,8 +72,8 @@ class Engine
     /** The model in use. */
     const PersistencyModel &model() const { return *model_; }
 
-    /** The dispatch mode in use. */
-    Dispatch dispatch() const { return dispatch_; }
+    /** The write-batching mode in use. */
+    Batching batching() const { return batching_; }
 
   private:
     /**
@@ -88,8 +87,11 @@ class Engine
         IntervalMap<bool> exclusions;
         /** Current transaction nesting depth. */
         int txDepth = 0;
-        /** Log tree: ranges backed up via TX_ADD in the open TX. */
-        IntervalTree<SourceLocation> logTree;
+        /**
+         * Log set (the paper's "log tree", §5.1.1): ranges backed up
+         * via TX_ADD in the open TX. Only their union matters.
+         */
+        IntervalMap<bool> logged;
         /** Whether a TX_CHECKER region is active. */
         bool txCheckActive = false;
         /** Writes observed inside the active TX_CHECKER region. */
@@ -99,12 +101,12 @@ class Engine
         void reset();
     };
 
-    /** The per-trace loop, templated on the concrete model type. */
-    template <typename M>
-    void runTrace(M &model, const Trace &trace, Report &report);
+    /** The per-trace loop. */
+    void runTrace(PersistencyModel &model, const Trace &trace,
+                  Report &report);
 
     /**
-     * Batched write runs (Dispatch::Templated only): consume the
+     * Batched write runs (Batching::On only): consume the
      * maximal run of consecutive Write ops starting at @p i, applying
      * the per-op transaction checks immediately but deferring the
      * shadow updates into writeBatch_, flushed in one sorted batched
@@ -120,20 +122,18 @@ class Engine
     void flushWriteBatch(TraceState &state);
 
     /**
-     * The checks the per-op path performs on a Write before the model
-     * applies it: missing-log detection and TX_CHECKER write
-     * collection. Shared verbatim by the batched path.
+     * The checks the per-op path performs on a Write before recording
+     * it: missing-log detection and TX_CHECKER write collection.
+     * Shared verbatim by the batched path.
      */
     void preWriteChecks(const PmOp &op, const AddrRange &range,
                         size_t index, TraceState &state,
                         Report &report);
 
-    template <typename M>
-    void handleOp(M &model, const PmOp &op, size_t index,
+    void handleOp(PersistencyModel &model, const PmOp &op, size_t index,
                   TraceState &state, Report &report);
-    template <typename M>
-    void handleChecker(const M &model, const PmOp &op, size_t index,
-                       TraceState &state, Report &report);
+    void handleChecker(const PersistencyModel &model, const PmOp &op,
+                       size_t index, TraceState &state, Report &report);
     void handleTxEvent(const PmOp &op, size_t index, TraceState &state,
                        Report &report);
 
@@ -143,8 +143,7 @@ class Engine
     /** Writes batched per flush (bounds the overlap scan). */
     static constexpr size_t kWriteBatchMax = 32;
 
-    ModelKind kind_;
-    Dispatch dispatch_;
+    Batching batching_;
     std::unique_ptr<PersistencyModel> model_;
     TraceState state_;
     /** Pending write ranges of the current run (reused storage). */

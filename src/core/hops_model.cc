@@ -3,6 +3,41 @@
 namespace pmtest::core
 {
 
+void
+HopsModel::apply(const PmOp &op, ShadowMemory &shadow, Report &report,
+                 size_t op_index)
+{
+    switch (op.type) {
+      case OpType::Ofence:
+        // Orders persists without enforcing durability: writes before
+        // and after the ofence get distinct interval begins.
+        shadow.bumpTimestamp();
+        break;
+
+      case OpType::Dfence:
+        // Orders and persists: everything written so far is durable
+        // once the dfence completes.
+        shadow.bumpTimestamp();
+        shadow.completeAllWrites();
+        break;
+
+      case OpType::Clwb:
+      case OpType::ClflushOpt:
+      case OpType::Clflush:
+      case OpType::Sfence:
+      case OpType::DcCvap:
+      case OpType::Dsb:
+        // HOPS replaces explicit writebacks and fences entirely.
+        reportMalformed(op, report, op_index, name());
+        break;
+
+      default:
+        // Writes, transactional events and checkers are handled by
+        // the engine.
+        break;
+    }
+}
+
 FixHint
 HopsModel::durabilityHint(const AddrRange &range,
                           const ShadowMemory &shadow,

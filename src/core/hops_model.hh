@@ -14,56 +14,14 @@
 namespace pmtest::core
 {
 
-/**
- * Checking rules for the HOPS relaxed persistency model.
- *
- * apply() is defined inline and the class is final so the engine's
- * model-templated kernel devirtualizes and inlines the per-op switch.
- */
+/** Checking rules for the HOPS relaxed persistency model. */
 class HopsModel final : public PersistencyModel
 {
   public:
     const char *name() const override { return "hops"; }
 
-    void
-    apply(const PmOp &op, ShadowMemory &shadow, Report &report,
-          size_t op_index) override
-    {
-        switch (op.type) {
-          case OpType::Write:
-            shadow.recordWrite(AddrRange(op.addr, op.size));
-            break;
-
-          case OpType::Ofence:
-            // Orders persists without enforcing durability: writes
-            // before and after the ofence get distinct interval
-            // begins.
-            shadow.bumpTimestamp();
-            break;
-
-          case OpType::Dfence:
-            // Orders and persists: everything written so far is
-            // durable once the dfence completes.
-            shadow.bumpTimestamp();
-            shadow.completeAllWrites();
-            break;
-
-          case OpType::Clwb:
-          case OpType::ClflushOpt:
-          case OpType::Clflush:
-          case OpType::Sfence:
-          case OpType::DcCvap:
-          case OpType::Dsb:
-            // HOPS replaces explicit writebacks and fences entirely.
-            reportMalformed(op, report, op_index, name());
-            break;
-
-          default:
-            // Transactional events and checkers are handled by the
-            // engine.
-            break;
-        }
-    }
+    void apply(const PmOp &op, ShadowMemory &shadow, Report &report,
+               size_t op_index) override;
 
     bool checkOrderedBefore(const AddrRange &a, const AddrRange &b,
                             const ShadowMemory &shadow,

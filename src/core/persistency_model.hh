@@ -39,9 +39,12 @@ class PersistencyModel
     virtual const char *name() const = 0;
 
     /**
-     * Apply one hardware PM operation to the shadow memory,
-     * emitting WARN findings (performance bugs) or Malformed findings
-     * (operations the model does not define) into @p report.
+     * Apply one hardware flush or fence operation to the shadow
+     * memory, emitting WARN findings (performance bugs) or Malformed
+     * findings (operations the model does not define) into
+     * @p report. Writes never reach a model: every model opens a
+     * persist interval on a write and nothing else, so the engine
+     * records them itself (ShadowMemory::recordWrite).
      */
     virtual void apply(const PmOp &op, ShadowMemory &shadow,
                        Report &report, size_t op_index) = 0;

@@ -4,6 +4,39 @@ namespace pmtest::core
 {
 
 void
+X86Model::apply(const PmOp &op, ShadowMemory &shadow, Report &report,
+                size_t op_index)
+{
+    switch (op.type) {
+      case OpType::Clwb:
+      case OpType::ClflushOpt:
+      case OpType::Clflush: {
+        const AddrRange range(op.addr, op.size);
+        reportClwbWarns(shadow.scanClwb(range), op, report, op_index);
+        shadow.recordClwb(range);
+        break;
+      }
+
+      case OpType::Sfence:
+        shadow.bumpTimestamp();
+        shadow.completePendingFlushes();
+        break;
+
+      case OpType::Ofence:
+      case OpType::Dfence:
+      case OpType::DcCvap:
+      case OpType::Dsb:
+        reportMalformed(op, report, op_index, name());
+        break;
+
+      default:
+        // Writes, transactional events and checkers are handled by
+        // the engine.
+        break;
+    }
+}
+
+void
 X86Model::reportClwbWarns(const ClwbScan &scan, const PmOp &op,
                           Report &report, size_t op_index)
 {

@@ -3,11 +3,6 @@
  * The x86 persistency model (paper §4.4): writes open persist
  * intervals, clwb/clflushopt/clflush open flush intervals, sfence
  * advances the epoch and closes the intervals of fenced writebacks.
- *
- * apply() — the per-operation hot path — is defined inline so the
- * engine's model-templated checking kernel inlines the whole per-op
- * switch (the class is final, so calls through a concretely-typed
- * reference devirtualize). The cold checker rules stay in the .cc.
  */
 
 #ifndef PMTEST_CORE_X86_MODEL_HH
@@ -24,43 +19,8 @@ class X86Model final : public PersistencyModel
   public:
     const char *name() const override { return "x86"; }
 
-    void
-    apply(const PmOp &op, ShadowMemory &shadow, Report &report,
-          size_t op_index) override
-    {
-        switch (op.type) {
-          case OpType::Write:
-            shadow.recordWrite(AddrRange(op.addr, op.size));
-            break;
-
-          case OpType::Clwb:
-          case OpType::ClflushOpt:
-          case OpType::Clflush: {
-            const AddrRange range(op.addr, op.size);
-            reportClwbWarns(shadow.scanClwb(range), op, report,
-                            op_index);
-            shadow.recordClwb(range);
-            break;
-          }
-
-          case OpType::Sfence:
-            shadow.bumpTimestamp();
-            shadow.completePendingFlushes();
-            break;
-
-          case OpType::Ofence:
-          case OpType::Dfence:
-          case OpType::DcCvap:
-          case OpType::Dsb:
-            reportMalformed(op, report, op_index, name());
-            break;
-
-          default:
-            // Transactional events and checkers are handled by the
-            // engine.
-            break;
-        }
-    }
+    void apply(const PmOp &op, ShadowMemory &shadow, Report &report,
+               size_t op_index) override;
 
     bool checkOrderedBefore(const AddrRange &a, const AddrRange &b,
                             const ShadowMemory &shadow,

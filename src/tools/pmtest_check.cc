@@ -130,7 +130,7 @@ main(int argc, char **argv)
     cli.addFlag("--metrics-linger", &plan.metricsLinger,
                 "keep the scrape endpoint up after the run");
     cli.addString("--worker", &worker_spec,
-                  "run shard i of N (\"i/N\"); needs --report-out");
+                  "run shard i of N; needs --report-out", "i/N");
     cli.addSize("--distribute", &plan.distribute,
                 "fork N workers and merge their reports", 1);
     cli.addString("--report-out", &plan.reportOutPath,

@@ -77,9 +77,12 @@ class CliParser
     void addSize(const char *name, size_t *out, const char *help,
                  size_t clampMin = 0, size_t maxValue = ~size_t{0});
 
-    /** A string option `--name=VALUE`; the empty value is an error. */
+    /**
+     * A string option `--name=VALUE`; the empty value is an error.
+     * @p placeholder names VALUE in the usage and help text.
+     */
     void addString(const char *name, std::string *out,
-                   const char *help);
+                   const char *help, const char *placeholder = "FILE");
 
     /**
      * A string option whose value is optional: bare `--name` sets
@@ -141,6 +144,7 @@ class CliParser
         size_t *sizeOut = nullptr;
         std::string *stringOut = nullptr;
         int *choiceOut = nullptr;
+        const char *placeholder = "FILE"; ///< String value rendering
         std::vector<CliChoice> choices;
         size_t clampMin = 0;
         size_t maxValue = ~size_t{0};

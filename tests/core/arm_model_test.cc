@@ -12,10 +12,16 @@ namespace
 class ArmModelTest : public ::testing::Test
 {
   protected:
+    /** Feed one op as the engine does: writes go straight to the
+     *  shadow memory, everything else through the model. */
     void
     apply(const PmOp &op)
     {
-        model_.apply(op, shadow_, report_, index_++);
+        if (op.type == OpType::Write)
+            shadow_.recordWrite(AddrRange(op.addr, op.size));
+        else
+            model_.apply(op, shadow_, report_, index_);
+        index_++;
     }
 
     ArmModel model_;

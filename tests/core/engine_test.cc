@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace pmtest::core
 {
 namespace
@@ -292,6 +295,64 @@ TEST(EngineTest, FindingCarriesLocation)
     ASSERT_EQ(report.failCount(), 1u);
     EXPECT_EQ(report.findings()[0].loc.str(), "app.cc:99");
 }
+
+class EngineTxAddUnionTest : public ::testing::TestWithParam<ModelKind>
+{
+};
+
+TEST_P(EngineTxAddUnionTest, UnionOfTxAddsCoversWrites)
+{
+    // The log set answers "is this write backed up?" for the union of
+    // every TX_ADD in the open transaction, not for any single one.
+    const Trace trace = makeTrace({
+        op(OpType::TxBegin),
+        op(OpType::TxAdd, 0x100, 0x10), // [0x100, 0x110)
+        op(OpType::TxAdd, 0x108, 0x18), // [0x108, 0x120): overlaps
+        op(OpType::TxAdd, 0x120, 0x08), // [0x120, 0x128): adjacent
+        PmOp::write(0x100, 0x28),       // 4: covered jointly
+        op(OpType::TxAdd, 0x104, 0x20), // 5: inside the union
+        op(OpType::TxAdd, 0x129, 0x07), // [0x129, 0x130): 1-byte gap
+        PmOp::write(0x120, 0x10),       // 7: spans the gap
+        PmOp::write(0x129, 0x07),       // 8: covered
+        op(OpType::TxBegin),            // nested
+        op(OpType::TxEnd),              // nested end keeps the set
+        PmOp::write(0x100, 0x28),       // 11: still covered
+        op(OpType::TxAdd, 0x110, 0x08), // 12: still inside the union
+        op(OpType::TxEnd),              // outermost end retires it
+        op(OpType::TxBegin),
+        PmOp::write(0x100, 0x08),       // 15: nothing logged yet
+        op(OpType::TxAdd, 0x100, 0x08), // 16: fresh set, no duplicate
+        PmOp::write(0x100, 0x08),       // 17: covered
+        op(OpType::TxEnd),
+    });
+    const std::vector<std::pair<FindingKind, size_t>> expected = {
+        {FindingKind::DuplicateLog, 5},
+        {FindingKind::MissingLog, 7},
+        {FindingKind::DuplicateLog, 12},
+        {FindingKind::MissingLog, 15},
+    };
+
+    Engine engine(GetParam());
+    const Report report = engine.check(trace);
+    std::vector<std::pair<FindingKind, size_t>> got;
+    for (const auto &f : report.findings())
+        got.emplace_back(f.kind, f.opIndex);
+    EXPECT_EQ(got, expected) << report.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, EngineTxAddUnionTest,
+                         ::testing::Values(ModelKind::X86, ModelKind::Hops,
+                                           ModelKind::Arm),
+                         [](const auto &info) {
+                             switch (info.param) {
+                               case ModelKind::X86:
+                                 return "X86";
+                               case ModelKind::Hops:
+                                 return "Hops";
+                               default:
+                                 return "Arm";
+                             }
+                         });
 
 } // namespace
 } // namespace pmtest::core

@@ -51,6 +51,10 @@ TEST(UsageErrorsTest, HelpExitsZeroOnEveryTool)
             << bin;
         EXPECT_TRUE(r.stderrText.empty()) << bin;
     }
+    // String flags name their value: --worker takes a shard spec.
+    const RunResult r = run(std::string(PMTEST_CHECK_BIN) + " --help");
+    EXPECT_NE(r.stdoutText.find("--worker=i/N"), std::string::npos)
+        << r.stdoutText;
 }
 
 TEST(UsageErrorsTest, CheckRejectsBadValues)

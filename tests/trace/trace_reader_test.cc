@@ -94,8 +94,9 @@ expectTracesEqual(const Trace &a, const Trace &b)
         EXPECT_EQ(x.addrB, y.addrB);
         EXPECT_EQ(x.sizeB, y.sizeB);
         EXPECT_EQ(x.loc.valid(), y.loc.valid());
-        if (x.loc.valid())
+        if (x.loc.valid()) {
             EXPECT_EQ(x.loc.str(), y.loc.str()) << "op " << i;
+        }
     }
 }
 

@@ -185,8 +185,9 @@ TEST(TraceSourceTest, ShardsPartitionTheIndexExactly)
         EXPECT_EQ(at, traces.size()) << shards << " shards";
         // Shards account frame bytes only, so they sum to less than
         // the whole file (header + index + footer excluded).
-        if (slices.size() > 1)
+        if (slices.size() > 1) {
             EXPECT_LT(shard_bytes, reader->sizeBytes());
+        }
     }
     std::remove(path.c_str());
 }
